@@ -9,12 +9,11 @@ front doors -- ``repro.solve_batched(op, B)`` against
 ``[repro.solve(op, B[:, j]) for j in range(m)]`` -- on the SAME operator,
 same tolerance, for m ∈ {1, 4, 16, 64}.
 
-Both arms run the ELLPACK layout (:func:`repro.sparse.csr_to_ell`): its
-dense index plane is what lets the block product be a single rectangular
-gather + einsum contraction, so it is the layout where the one-matrix-pass
-locality argument is actually realized (CSR's ragged ``reduceat`` over an
-``(nnz, m)`` block is not competitive -- that contrast is part of what this
-benchmark documents).
+Both arms run the ELLPACK layout (:func:`repro.sparse.csr_to_ell`).  Its
+products run on the same compiled kernel as CSR (through a zero-copy CSR
+view of the planes), whose block form updates a whole ``m``-wide output
+row per stored entry -- the one-matrix-pass locality the batched solvers
+bank on.
 
 Numbers are written to ``BENCH_batched.json`` at the repository root.
 Acceptance floor (ISSUE 2): batched classical CG at m=16 must be at least

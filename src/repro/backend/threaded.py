@@ -2,16 +2,15 @@
 
 Large numpy ufuncs release the GIL, so a thread pool working on
 contiguous chunks of the same vectors genuinely overlaps memory traffic
-on multi-core hosts.  This backend parallelizes exactly the kernels where
-that pays -- the elementwise axpy family and the CSR matvec (whose
-row-aligned nonzero ranges partition cleanly) -- and delegates everything
-else (reductions, exotic operators, small vectors) to the reference
-implementation.
+on multi-core hosts.  This backend parallelizes the elementwise axpy
+family and delegates everything else (reductions, small vectors, and
+operator application, which runs on the one compiled sparse kernel of
+:mod:`repro.sparse.kernel`) to the reference implementation.
 
 Accounting parity is non-negotiable: each kernel books the *same single*
-counter entry the reference kernel would (one ``add_axpy`` per update,
-one ``add_matvec`` per operator application), never one per chunk, so
-op-count totals and telemetry are identical across backends.
+counter entry the reference kernel would (one ``add_axpy`` per update;
+the matvec is the reference one), never one per chunk, so op-count
+totals and telemetry are identical across backends.
 
 Feature detection: :meth:`ThreadedBackend.is_available` requires at least
 two CPUs; ``resolve_backend("threaded")`` raises a clear error on
@@ -28,7 +27,7 @@ import numpy as np
 
 from repro.backend.reference import ReferenceBackend
 from repro.backend.workspace import Workspace
-from repro.util.counters import add_axpy, add_matvec
+from repro.util.counters import add_axpy
 
 __all__ = ["ThreadedBackend"]
 
@@ -38,7 +37,7 @@ _MIN_PARALLEL_SIZE = 1 << 15
 
 
 class ThreadedBackend(ReferenceBackend):
-    """Multi-threaded elementwise kernels + chunked CSR matvec."""
+    """Multi-threaded elementwise kernels; the reference matvec."""
 
     name = "threaded"
 
@@ -180,53 +179,4 @@ class ThreadedBackend(ReferenceBackend):
             np.multiply(x[lo:hi], a, out=out[lo:hi])
 
         self._run_chunks(chunk, n)
-        return out
-
-    # -- operator application ------------------------------------------
-    def matvec(
-        self,
-        op: Any,
-        x: np.ndarray,
-        out: np.ndarray | None = None,
-        *,
-        work: Any = None,
-    ) -> np.ndarray:
-        from repro.sparse.csr import CSRMatrix
-
-        if (
-            not isinstance(op, CSRMatrix)
-            or out is None
-            or op.nnz < self._min_size
-            or op.nnz == 0
-        ):
-            return super().matvec(op, x, out=out, work=work)
-        starts, all_rows_nonempty = op.row_structure()
-        if not all_rows_nonempty:
-            # Empty rows break the per-chunk reduceat contract; rare
-            # enough that the serial generic path is fine.
-            return super().matvec(op, x, out=out, work=work)
-
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (op.ncols,):
-            raise ValueError(f"x must have shape ({op.ncols},), got {x.shape}")
-        if out is x:
-            raise ValueError("out must not alias x")
-        add_matvec(op.nnz, op.nrows)  # one booking, as CSRMatrix.matvec does
-        if isinstance(work, Workspace):
-            gather = work.get("csr_gather", op.nnz)
-        else:
-            gather = np.empty(op.nnz, dtype=np.float64)
-        indptr, indices, data = op.indptr, op.indices, op.data
-
-        def chunk(r_lo: int, r_hi: int) -> None:
-            lo, hi = int(indptr[r_lo]), int(indptr[r_hi])
-            if lo == hi:
-                out[r_lo:r_hi] = 0.0
-                return
-            seg = gather[lo:hi]
-            np.take(x, indices[lo:hi], out=seg, mode="clip")
-            np.multiply(seg, data[lo:hi], out=seg)
-            np.add.reduceat(seg, indptr[r_lo:r_hi] - lo, out=out[r_lo:r_hi])
-
-        self._run_chunks(chunk, op.nrows)
         return out

@@ -388,10 +388,14 @@ def adaptive_vr_cg(
     iterations = 0
     since_check = 0
     budget = stop.budget(n)
+    # Loop buffers, drawn once; a repair that moves k redraws the
+    # power-block scratch at the new shape.
+    scratch = ws.scratch(n, dtype)
+    power_scratch = ws.get("power_scratch", powers.r_powers.shape, dtype)
 
     def _repair(trigger_iter: int, *, keep_direction: bool) -> None:
         """Rebuild powers/window at the controller's current k."""
-        nonlocal powers, window, since_check
+        nonlocal powers, window, since_check, power_scratch
         k_new = ctl.k
         if keep_direction:
             r_true = b - op.matvec(x)
@@ -412,6 +416,7 @@ def adaptive_vr_cg(
             if telemetry is not None:
                 telemetry.replacement(trigger_iter, "restart")
         since_check = 0
+        power_scratch = ws.get("power_scratch", powers.r_powers.shape, dtype)
 
     for _ in range(budget):
         mu0 = window.rr
@@ -424,9 +429,9 @@ def adaptive_vr_cg(
 
         lam = window.lam()
         lambdas.append(lam)
-        bk.axpy(lam, powers.p, x, out=x, work=ws)
+        bk.axpy(lam, powers.p, x, out=x, work=scratch)
         iterations += 1
-        powers.advance_r(lam, work=ws)
+        powers.advance_r(lam, scratch=power_scratch)
 
         mu_new = window.advance_mu(lam)
         mu0_new = float(mu_new[0])
@@ -462,7 +467,7 @@ def adaptive_vr_cg(
         add_scalar_flops(1)
         alphas.append(alpha_next)
         mu_top = powers.direct_mu_top()
-        powers.advance_p(op, alpha_next, work=ws)
+        powers.advance_p(op, alpha_next)
         sigma_top = powers.direct_sigma_top()
         window = window.advanced(
             lam, alpha_next, mu_top, sigma_top, mu_new_body=mu_new

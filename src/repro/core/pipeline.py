@@ -451,6 +451,10 @@ def pipelined_vr_cg(
             tracer.end("startup")
         ledger = LaunchLedger(k)
         pipeline = _CoefficientPipeline(k, w)
+        # Loop buffers, drawn once per segment (an adaptive resize
+        # changes k, hence the power-block shape, between segments).
+        scratch = ws.scratch(n, dtype)
+        power_scratch = ws.get("power_scratch", powers.r_powers.shape, dtype)
 
         def _launch(local: int) -> np.ndarray:
             if tracer is not None:
@@ -500,7 +504,7 @@ def pipelined_vr_cg(
             lambdas.append(lam)
             if tracer is not None:
                 tracer.begin("axpy")
-            bk.axpy(lam, powers.p, x, out=x, work=ws)
+            bk.axpy(lam, powers.p, x, out=x, work=scratch)
             if tracer is not None:
                 tracer.end("axpy")
             iterations += 1
@@ -509,7 +513,7 @@ def pipelined_vr_cg(
             # Advance the vector pipeline to iteration n+1.
             if tracer is not None:
                 tracer.begin("axpy")
-            powers.advance_r(lam, work=ws)
+            powers.advance_r(lam, scratch=power_scratch)
             if tracer is not None:
                 tracer.end("axpy")
 
@@ -573,7 +577,7 @@ def pipelined_vr_cg(
 
             if tracer is not None:
                 tracer.begin("matvec")
-            powers.advance_p(op, alpha_next, work=ws)
+            powers.advance_p(op, alpha_next)
             if tracer is not None:
                 tracer.end("matvec")
 

@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from repro.sparse.linop import LinearOperator
+from repro.sparse.linop import LinearOperator, matvec_into
+from repro.util.counters import add_axpy
 from repro.util.kernels import dot
 from repro.util.validation import require_nonnegative_int
 
@@ -120,49 +121,36 @@ class PowerBlock:
     # ------------------------------------------------------------------
     # Per-iteration update
     # ------------------------------------------------------------------
-    def advance_r(self, lam: float, work=None) -> None:
+    def advance_r(self, lam: float, scratch: np.ndarray | None = None) -> None:
         """In-place ``Rᵢ ← Rᵢ − λn Pᵢ₊₁`` for all stored ``i``.
 
         One fused vectorized statement over the whole block: numpy
         broadcasts the scalar and the aligned row slices, so this is
-        ``k+2`` axpys with no Python-level per-row loop.  ``work`` (a
-        :class:`repro.backend.Workspace`) supplies the ``(k+2, n)``
-        scratch block that makes the broadcast product allocation-free.
+        ``k+2`` axpys with no Python-level per-row loop.  ``scratch`` (a
+        ``(k+2, n)`` array the solver draws once before its loop) makes
+        the broadcast product allocation-free.
         """
-        from repro.util.counters import add_axpy
-
         tail = self.p_powers[1 : self.k + 3]
-        if work is not None:
-            scratch = work.get("power_scratch", tail.shape, tail.dtype)
+        if scratch is not None:
             np.multiply(tail, lam, out=scratch)
             self.r_powers -= scratch
         else:
             self.r_powers -= lam * tail
         add_axpy(self.n * (self.k + 2))
 
-    def advance_p(self, op: LinearOperator, alpha_next: float, work=None) -> None:
+    def advance_p(self, op: LinearOperator, alpha_next: float) -> None:
         """In-place ``Pᵢ ← Rᵢ + αn+1 Pᵢ`` plus the single top matvec.
 
         Must be called *after* :meth:`advance_r` (it consumes the already
         advanced ``Rᵢ = Aⁱrⁿ⁺¹``).  The top row ``P_{k+2}`` cannot be
         recurred (it would need ``A^{k+2} rⁿ⁺¹``) and is regenerated as
-        ``A · P_{k+1}`` -- claim C5's one matvec per iteration; with
-        ``work`` the product writes straight into the (contiguous) top
-        row instead of allocating a fresh vector.
+        ``A · P_{k+1}`` -- claim C5's one matvec per iteration, written
+        straight into the (contiguous) top row.
         """
-        from repro.util.counters import add_axpy
-
         self.p_powers[: self.k + 2] *= alpha_next
         self.p_powers[: self.k + 2] += self.r_powers
         add_axpy(self.n * (self.k + 2))
-        if work is not None:
-            from repro.sparse.linop import matvec_into
-
-            matvec_into(
-                op, self.p_powers[self.k + 1], self.p_powers[self.k + 2], work=work
-            )
-        else:
-            self.p_powers[self.k + 2] = op.matvec(self.p_powers[self.k + 1])
+        matvec_into(op, self.p_powers[self.k + 1], self.p_powers[self.k + 2])
 
     # ------------------------------------------------------------------
     # The two direct inner products (claim C6)

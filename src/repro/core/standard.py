@@ -219,6 +219,9 @@ def conjugate_gradient(
     iterations = 0
     since_check = 0
     best_res = res_norms[0]
+    # Loop buffers, drawn once: the matvec result and the axpy scratch.
+    ap = ws.get("ap", n, dtype)
+    scratch = ws.scratch(n, dtype)
 
     def _try_restart(trigger: str) -> bool:
         """Spend one restart: fresh residual, direction reset to it."""
@@ -241,8 +244,7 @@ def conjugate_gradient(
             plan.begin_iteration(iterations + 1)
         if tracer is not None:
             tracer.begin("matvec")
-        ap = ws.get("ap", n, dtype)
-        bk.matvec(op, p, out=ap, work=ws)
+        bk.matvec(op, p, out=ap)
         if tracer is not None:
             tracer.end("matvec")
             tracer.begin("local_dot")
@@ -260,8 +262,8 @@ def conjugate_gradient(
         lambdas.append(lam)
         if tracer is not None:
             tracer.begin("axpy")
-        bk.axpy(lam, p, x, out=x, work=ws)
-        bk.axpy(-lam, ap, r, out=r, work=ws)
+        bk.axpy(lam, p, x, out=x, work=scratch)
+        bk.axpy(-lam, ap, r, out=r, work=scratch)
         if tracer is not None:
             tracer.end("axpy")
         iterations += 1
@@ -349,7 +351,7 @@ def conjugate_gradient(
         alphas.append(alpha)
         if tracer is not None:
             tracer.begin("axpy")
-        bk.axpy(alpha, p, r, out=p, work=ws)  # p = r + alpha * p
+        bk.axpy(alpha, p, r, out=p, work=scratch)  # p = r + alpha * p
         if tracer is not None:
             tracer.end("axpy")
         rr = rr_new

@@ -313,6 +313,10 @@ def vr_conjugate_gradient(
     since_replacement = 0
     since_verify = 0
     budget = stop.budget(n)
+    # Loop buffers, drawn once: the x-update scratch and the power-block
+    # scratch (replacement rebuilds keep k, hence the block shape).
+    scratch = ws.scratch(n, dtype)
+    power_scratch = ws.get("power_scratch", powers.r_powers.shape, dtype)
 
     def _try_restart(trigger: str) -> bool:
         """Spend one restart: rebuild powers/window from the current x."""
@@ -347,7 +351,7 @@ def vr_conjugate_gradient(
         # x update uses the plain direction vector (power 0).
         if tracer is not None:
             tracer.begin("axpy")
-        bk.axpy(lam, powers.p, x, out=x, work=ws)
+        bk.axpy(lam, powers.p, x, out=x, work=scratch)
         if tracer is not None:
             tracer.end("axpy")
         iterations += 1
@@ -358,7 +362,7 @@ def vr_conjugate_gradient(
         # --- advance the residual powers: R_i <- R_i - lam * P_{i+1} ----
         if tracer is not None:
             tracer.begin("axpy")
-        powers.advance_r(lam, work=ws)
+        powers.advance_r(lam, scratch=power_scratch)
         if tracer is not None:
             tracer.end("axpy")
 
@@ -423,7 +427,7 @@ def vr_conjugate_gradient(
         # --- advance direction powers (one matvec), then direct dot #2 --
         if tracer is not None:
             tracer.begin("matvec")
-        powers.advance_p(op, alpha_next, work=ws)
+        powers.advance_p(op, alpha_next)
         if tracer is not None:
             tracer.end("matvec")
             tracer.begin("local_dot")

@@ -1,9 +1,8 @@
 """Compressed Sparse Row matrices, built from scratch.
 
 This is the compute format for every solver in the repository.  The
-matrix--vector product is fully vectorized (gather + segment-reduce via
-:func:`numpy.add.reduceat`) per the HPC guide idiom of replacing Python
-loops with masked/indexed numpy operations, and books itself on the ambient
+matrix--vector product runs on the one compiled sparse kernel
+(:func:`repro.sparse.kernel.csr_apply`) and books itself on the ambient
 operation counter so the work-accounting experiments see every matvec.
 
 The class deliberately implements only what the reproduction needs --
@@ -19,25 +18,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.sparse.kernel import csr_apply
 from repro.util.counters import add_matmat, add_matvec
 from repro.util.validation import check_out_array
 
 __all__ = ["CSRMatrix", "from_dense", "identity", "diag_matrix"]
 
 
-def _gather_buffer(work, name: str, shape: tuple[int, ...]) -> np.ndarray | None:
-    """Resolve a ``work=`` argument to a gather buffer (or ``None``).
+def _sparse_product(op, triple, x, out, *, block: bool) -> np.ndarray:
+    """Validate, book and compute ``op @ x`` on the shared kernel.
 
-    ``work`` may be a :class:`repro.backend.Workspace` (duck-typed via
-    its ``get`` method, so this module needs no backend import) or a
-    preallocated float64 array of the right shape.
+    The one body behind the ``matvec``/``matmat`` of both sparse formats:
+    ``op`` supplies ``nrows``/``ncols``/``nnz`` and ``triple`` its CSR
+    arrays (ELL passes a CSR view of its planes).  ``block`` selects the
+    ``(ncols, m)`` column-block form and its single ``add_matmat``
+    booking; otherwise one ``add_matvec`` is booked.
     """
-    if work is None:
-        return None
-    getter = getattr(work, "get", None)
-    if callable(getter):
-        return getter(name, shape)
-    return check_out_array(work, shape, name="work")
+    x = np.asarray(x, dtype=np.float64)
+    if block:
+        if x.ndim != 2 or x.shape[0] != op.ncols:
+            raise ValueError(f"x must have shape ({op.ncols}, m), got {x.shape}")
+        shape = (op.nrows, x.shape[1])
+    else:
+        if x.shape != (op.ncols,):
+            raise ValueError(f"x must have shape ({op.ncols},), got {x.shape}")
+        shape = (op.nrows,)
+    if out is None:
+        out = np.empty(shape, dtype=np.float64)
+    else:
+        if out is x:
+            raise ValueError("out must not alias x")
+        check_out_array(out, shape)
+    if block:
+        add_matmat(op.nnz, op.nrows, x.shape[1])
+    else:
+        add_matvec(op.nnz, op.nrows)
+    return csr_apply(*triple, x, out)
 
 
 @dataclass(frozen=True)
@@ -106,123 +122,30 @@ class CSRMatrix:
         """Number of stored nonzeros."""
         return int(self.indices.size)
 
-    def row_structure(self) -> tuple[np.ndarray, bool]:
-        """``(segment_starts, all_rows_nonempty)``, computed once per matrix.
-
-        ``np.add.reduceat`` needs the list of row segment starts and a
-        guarantee of monotonicity (empty rows break it); both depend
-        only on the immutable ``indptr``, so they are cached on first
-        use rather than recomputed inside every matvec.
-        """
-        cached = self.__dict__.get("_row_structure")
-        if cached is None:
-            starts = self.indptr[:-1]
-            all_nonempty = bool(np.all(np.diff(self.indptr) > 0))
-            cached = (starts, all_nonempty)
-            object.__setattr__(self, "_row_structure", cached)
-        return cached
-
-    def matvec(
-        self,
-        x: np.ndarray,
-        out: np.ndarray | None = None,
-        work=None,
-    ) -> np.ndarray:
-        """Compute ``A @ x`` (vectorized gather + segmented reduction).
+    def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Compute ``A @ x`` with the compiled kernel (:func:`csr_apply`).
 
         Books one matvec on the ambient operation counter.  ``out`` may be
         supplied to avoid allocating the result; it must be a float64
-        array of shape ``(nrows,)`` not aliasing ``x``.  ``work`` (a
-        :class:`repro.backend.Workspace` or an ``(nnz,)`` float64 array)
-        additionally makes the *gather product* allocation-free: the
-        ``data * x[indices]`` intermediate lands in the reusable buffer
-        via ``np.take`` instead of a fresh fancy-index allocation.
+        array of shape ``(nrows,)`` not aliasing ``x``, and with it the
+        product allocates nothing.  Each row is summed left to right.
         """
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.ncols,):
-            raise ValueError(f"x must have shape ({self.ncols},), got {x.shape}")
-        if out is not None:
-            if out is x:
-                raise ValueError("out must not alias x")
-            check_out_array(out, (self.nrows,))
-        add_matvec(self.nnz, self.nrows)
-        y = out if out is not None else np.empty(self.nrows, dtype=np.float64)
-        if self.nnz == 0:
-            y[:] = 0.0
-            return y
-        gather = _gather_buffer(work, "csr_gather", (self.nnz,))
-        if gather is not None:
-            # mode="clip" lets np.take write straight into the buffer;
-            # the default mode="raise" stages through a fresh temporary.
-            # Indices were range-checked at construction, so clipping
-            # never actually fires.
-            np.take(x, self.indices, out=gather, mode="clip")
-            np.multiply(gather, self.data, out=gather)
-            products = gather
-        else:
-            products = self.data * x[self.indices]
-        starts, all_rows_nonempty = self.row_structure()
-        if all_rows_nonempty:
-            np.add.reduceat(products, starts, out=y)
-        else:
-            # Empty rows would make the start list non-monotonic; take
-            # the generic (allocating) path -- structurally rare.
-            y[:] = 0.0
-            nonempty = np.diff(self.indptr) > 0
-            if np.any(nonempty):
-                sums = np.add.reduceat(products, starts[nonempty])
-                y[nonempty] = sums
-        return y
+        triple = (self.indptr, self.indices, self.data)
+        return _sparse_product(self, triple, x, out, block=False)
 
-    def matmat(
-        self,
-        x: np.ndarray,
-        out: np.ndarray | None = None,
-        work=None,
-    ) -> np.ndarray:
+    def matmat(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Compute ``A @ X`` for an ``(ncols, m)`` column block.
 
-        One traversal of the matrix serves all ``m`` columns: the gather
-        ``X[indices, :]`` pulls ``(nnz, m)`` rows and a single segmented
-        reduction produces every column at once.  Books ``m`` matvecs'
-        flops but only one pass of matrix traffic (see
+        One traversal of the matrix serves all ``m`` columns (the compiled
+        block kernel updates a whole output row per stored entry).  Books
+        ``m`` matvecs' flops but only one pass of matrix traffic (see
         :func:`repro.util.counters.add_matmat`) -- the data-locality win
-        the batched solvers are built on.  ``out`` must be a float64
-        ``(nrows, m)`` array; ``work`` reuses an ``(nnz, m)`` gather
-        buffer exactly as in :meth:`matvec`.
+        the batched solvers are built on.  Column ``j`` of the result
+        equals ``matvec(X[:, j])`` bit-for-bit.  ``out`` must be a float64
+        ``(nrows, m)`` array not aliasing ``x``.
         """
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] != self.ncols:
-            raise ValueError(
-                f"x must have shape ({self.ncols}, m), got {x.shape}"
-            )
-        m = x.shape[1]
-        if out is not None:
-            if out is x:
-                raise ValueError("out must not alias x")
-            check_out_array(out, (self.nrows, m))
-        add_matmat(self.nnz, self.nrows, m)
-        y = out if out is not None else np.empty((self.nrows, m), dtype=np.float64)
-        if self.nnz == 0 or m == 0:
-            y[:] = 0.0
-            return y
-        gather = _gather_buffer(work, "csr_gather_block", (self.nnz, m))
-        if gather is not None:
-            np.take(x, self.indices, axis=0, out=gather, mode="clip")
-            np.multiply(gather, self.data[:, None], out=gather)
-            products = gather
-        else:
-            products = self.data[:, None] * x[self.indices, :]
-        starts, all_rows_nonempty = self.row_structure()
-        if all_rows_nonempty:
-            np.add.reduceat(products, starts, axis=0, out=y)
-        else:
-            y[:] = 0.0
-            nonempty = np.diff(self.indptr) > 0
-            if np.any(nonempty):
-                sums = np.add.reduceat(products, starts[nonempty], axis=0)
-                y[nonempty] = sums
-        return y
+        triple = (self.indptr, self.indices, self.data)
+        return _sparse_product(self, triple, x, out, block=True)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.matvec(x)

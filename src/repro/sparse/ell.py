@@ -5,7 +5,9 @@ the layout SIMD/vector machines of the paper's era -- and GPUs today --
 prefer for stencil matrices.  We include it both for completeness of the
 substrate and because its matvec has a *uniform* per-row reduction depth
 ``ceil(log2 width)``, exactly matching the machine-model cost the paper
-assigns to a degree-``d`` sparse matvec.
+assigns to a degree-``d`` sparse matvec.  On the host the products run on
+the same compiled kernel as CSR, through a zero-copy CSR view of the
+planes, so ELL is a storage layout here, not a faster path.
 """
 
 from __future__ import annotations
@@ -14,9 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sparse.csr import CSRMatrix, _gather_buffer
-from repro.util.counters import add_matmat, add_matvec
-from repro.util.validation import check_out_array
+from repro.sparse.csr import CSRMatrix, _sparse_product
 
 __all__ = ["ELLMatrix", "csr_to_ell"]
 
@@ -26,7 +26,8 @@ class ELLMatrix:
     """ELLPACK matrix: dense ``(nrows, width)`` index and value planes.
 
     Padding entries carry column index equal to their own row (a valid
-    index) and value 0.0, so the vectorized gather needs no masking.
+    index) and value 0.0, so the products need no masking: padding adds
+    an exact zero after each row's stored entries.
     """
 
     nrows: int
@@ -45,6 +46,11 @@ class ELLMatrix:
             raise ValueError("col_plane and val_plane shapes must match")
         if cols.size and (cols.min() < 0 or cols.max() >= self.ncols):
             raise ValueError("column index out of range")
+        # Zero-copy CSR view of the planes: every row holds exactly
+        # ``width`` entries, so the row pointer is an arithmetic sequence.
+        indptr = np.arange(self.nrows + 1, dtype=np.int64) * cols.shape[1]
+        object.__setattr__(self, "_csr_view", (indptr, cols.ravel(), vals.ravel()))
+        object.__setattr__(self, "_nnz", int(np.count_nonzero(vals)))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -59,74 +65,26 @@ class ELLMatrix:
     @property
     def nnz(self) -> int:
         """Number of non-padding (nonzero-valued) stored entries."""
-        return int(np.count_nonzero(self.val_plane))
+        return self._nnz
 
-    def matvec(
-        self,
-        x: np.ndarray,
-        out: np.ndarray | None = None,
-        work=None,
-    ) -> np.ndarray:
-        """``A @ x`` as a dense gather followed by a row-wise contraction.
+    def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``A @ x`` on the shared compiled kernel via the CSR view.
 
         ``out`` (a float64 ``(nrows,)`` array, not aliasing ``x``)
-        receives the result without allocating; ``work`` (a
-        :class:`repro.backend.Workspace` or an ``(nrows, width)`` float64
-        array) additionally reuses the gather plane, making the whole
-        product allocation-free -- matching :meth:`CSRMatrix.matvec`.
+        receives the result without allocating.  Padding entries add
+        exact zeros at the end of each row, so the result equals the CSR
+        twin's :meth:`CSRMatrix.matvec` bit-for-bit.
         """
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.ncols,):
-            raise ValueError(f"x must have shape ({self.ncols},), got {x.shape}")
-        if out is not None:
-            if out is x:
-                raise ValueError("out must not alias x")
-            check_out_array(out, (self.nrows,))
-        add_matvec(self.nnz, self.nrows)
-        if self.width == 0:
-            if out is None:
-                return np.zeros(self.nrows, dtype=np.float64)
-            out[:] = 0.0
-            return out
-        gather = _gather_buffer(work, "ell_gather", (self.nrows, self.width))
-        if gather is not None:
-            np.take(x, self.col_plane, out=gather, mode="clip")
-        else:
-            gather = x[self.col_plane]
-        return np.einsum("rw,rw->r", self.val_plane, gather, out=out)
+        return _sparse_product(self, self._csr_view, x, out, block=False)
 
-    def matmat(self, x: np.ndarray, out: np.ndarray | None = None, work=None) -> np.ndarray:
+    def matmat(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Compute ``A @ X`` for an ``(ncols, m)`` column block.
 
-        The dense index plane makes this a single rectangular gather
-        ``X[col_plane]`` (shape ``(nrows, width, m)``) contracted against
-        the value plane in one einsum -- no ragged segment reduction, so
-        the block product actually realizes the one-matrix-pass locality
-        the batched solvers bank on (CSR's segmented ``reduceat`` over an
-        ``(nnz, m)`` block does not).  Books ``m`` matvecs' flops but one
-        pass of matrix traffic, like :meth:`CSRMatrix.matmat`.
+        Runs the shared block kernel over the CSR view: ``m`` matvecs'
+        flops but one pass of matrix traffic, like
+        :meth:`CSRMatrix.matmat`.
         """
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] != self.ncols:
-            raise ValueError(f"x must have shape ({self.ncols}, m), got {x.shape}")
-        m = x.shape[1]
-        if out is not None:
-            if out is x:
-                raise ValueError("out must not alias x")
-            check_out_array(out, (self.nrows, m))
-        add_matmat(self.nnz, self.nrows, m)
-        if self.width == 0 or m == 0:
-            y = out if out is not None else np.empty((self.nrows, m))
-            y[:] = 0.0
-            return y
-        gather = _gather_buffer(
-            work, "ell_gather_block", (self.nrows, self.width, m)
-        )
-        if gather is not None:
-            np.take(x, self.col_plane, axis=0, out=gather, mode="clip")
-        else:
-            gather = x[self.col_plane]
-        return np.einsum("rw,rwm->rm", self.val_plane, gather, out=out)
+        return _sparse_product(self, self._csr_view, x, out, block=True)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.matvec(x)

@@ -345,31 +345,24 @@ class NormalOperator:
         return ("normal", self.shape, self._shift, inner)
 
 
-#: Per-operator-type capability of ``matvec``: 2 = takes ``out=`` and
-#: ``work=``, 1 = takes ``out=`` only, 0 = plain ``matvec(x)``.  Looked up
-#: once per type via ``inspect.signature`` so the steady-state dispatch is
-#: a dict hit, not reflection.
-_MATVEC_SUPPORT: dict[type, int] = {}
+#: Per-operator-type capability of ``matvec``: True when it takes
+#: ``out=``.  Looked up once per type via ``inspect.signature`` so the
+#: steady-state dispatch is a dict hit, not reflection.
+_MATVEC_TAKES_OUT: dict[type, bool] = {}
 
 
-def _matvec_support(op: Any) -> int:
+def _matvec_takes_out(op: Any) -> bool:
     kind = type(op)
-    level = _MATVEC_SUPPORT.get(kind)
-    if level is None:
+    takes_out = _MATVEC_TAKES_OUT.get(kind)
+    if takes_out is None:
         import inspect
 
         try:
-            params = inspect.signature(kind.matvec).parameters
+            takes_out = "out" in inspect.signature(kind.matvec).parameters
         except (TypeError, ValueError, AttributeError):
-            params = {}
-        if "out" in params and "work" in params:
-            level = 2
-        elif "out" in params:
-            level = 1
-        else:
-            level = 0
-        _MATVEC_SUPPORT[kind] = level
-    return level
+            takes_out = False
+        _MATVEC_TAKES_OUT[kind] = takes_out
+    return takes_out
 
 
 def matvec_into(
@@ -380,17 +373,14 @@ def matvec_into(
 ) -> np.ndarray:
     """Apply ``op`` to ``x``, writing the result into ``out``.
 
-    Dispatches on what the operator's own ``matvec`` supports --
-    workspace-aware (our CSR/ELL matrices), ``out=``-aware
-    (:class:`DenseOperator`), or plain (callable wrappers, fault-wrapped
-    operators) -- copying through a temporary only in the last case, so
-    every :class:`LinearOperator` works and capable ones stay
-    allocation-free.
+    Operators whose ``matvec`` takes ``out=`` (our CSR/ELL matrices,
+    :class:`DenseOperator`) write straight into it and allocate nothing;
+    plain ones (callable wrappers, fault-wrapped operators) are copied
+    through their own result, so every :class:`LinearOperator` works.
+    ``work`` is accepted for call-site compatibility and ignored: the
+    compiled sparse kernel needs no scratch.
     """
-    level = _matvec_support(op)
-    if level == 2:
-        return op.matvec(x, out=out, work=work)
-    if level == 1:
+    if _matvec_takes_out(op):
         return op.matvec(x, out=out)
     y = op.matvec(x)
     if y is not out:
@@ -414,7 +404,8 @@ def block_matvec(
     the batched solvers, just without the locality win.  ``out`` lets
     steady-state solver loops reuse one result block; operators whose
     ``matmat`` predates the ``out=`` convention still work (the result is
-    copied in).
+    copied in).  ``work`` is accepted for call-site compatibility and
+    ignored.
     """
     x = np.asarray(x)
     if x.dtype.kind not in "fc":
@@ -425,11 +416,6 @@ def block_matvec(
     if callable(matmat):
         if out is None:
             return np.asarray(matmat(x))
-        if work is not None:
-            try:
-                return matmat(x, out=out, work=work)
-            except TypeError:
-                pass  # operator predates the work= convention
         try:
             return matmat(x, out=out)
         except TypeError:

@@ -28,11 +28,11 @@ def check_out_array(
 ) -> np.ndarray:
     """Validate a caller-supplied output buffer up front.
 
-    The sparse kernels write results via ``np.add.reduceat(..., out=)``
-    and ``np.einsum(..., out=)``, which fail with cryptic ufunc casting
-    errors on a wrong-dtype or wrong-length buffer deep inside the
-    kernel; this check turns that into a clear ``ValueError`` at the API
-    boundary instead.
+    The compiled sparse kernel writes straight into ``out`` and would
+    otherwise fail with a cryptic error (or stage a silent copy) on a
+    wrong-dtype or wrong-length buffer deep inside the kernel; this
+    check turns that into a clear ``ValueError`` at the API boundary
+    instead.
     """
     if not isinstance(out, np.ndarray):
         raise ValueError(

@@ -120,14 +120,30 @@ class TestSolver:
         res = pipelined_vr_cg(small_spd_dense, rhs(24), k=2, stop=TIGHT)
         assert res.label == "pipelined-vr-cg(k=2)"
 
-    def test_converges_where_eager_breaks(self, poisson_small, rhs):
+    def test_converges_where_eager_breaks(self, poisson_small):
         """The pipelined form's per-iteration re-anchoring beats the eager
-        form's compounding recurrences (E7b's third finding)."""
-        from repro.core.vr_cg import vr_conjugate_gradient
+        form's compounding recurrences (E7b's third finding).
 
-        b = rhs(poisson_small.nrows)
+        Whether pipelined k=4 converges on one particular right-hand side
+        of this system turns on last-bit rounding, so the claim is held
+        over a fixed sweep of 40 right-hand sides instead.  Measured:
+        eager converges on 0/40; pipelined converges on 19-23/40 and ends
+        with the smaller true residual on 37-39/40 (the spread is the
+        matvec summation order).  The bounds below leave room for that.
+        """
+        from repro.core.vr_cg import vr_conjugate_gradient
+        from repro.util.rng import default_rng
+
         stop = StoppingCriterion(rtol=1e-8, max_iter=500)
-        eager = vr_conjugate_gradient(poisson_small, b, k=4, stop=stop)
-        piped = pipelined_vr_cg(poisson_small, b, k=4, stop=stop)
-        assert piped.converged
-        assert piped.true_residual_norm < max(eager.true_residual_norm, 1e-5)
+        sweeps = 40
+        eager_converged = piped_converged = piped_better = 0
+        for s in range(sweeps):
+            b = default_rng(1000 + s).standard_normal(poisson_small.nrows)
+            eager = vr_conjugate_gradient(poisson_small, b, k=4, stop=stop)
+            piped = pipelined_vr_cg(poisson_small, b, k=4, stop=stop)
+            eager_converged += eager.converged
+            piped_converged += piped.converged
+            piped_better += piped.true_residual_norm < eager.true_residual_norm
+        assert eager_converged == 0
+        assert piped_better >= 36
+        assert piped_converged >= 10

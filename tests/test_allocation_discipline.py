@@ -26,6 +26,7 @@ from repro.core.pipeline import pipelined_vr_cg
 from repro.core.standard import conjugate_gradient
 from repro.core.stopping import StoppingCriterion
 from repro.core.vr_cg import vr_conjugate_gradient
+from repro.sparse.ell import csr_to_ell
 from repro.sparse.generators import poisson2d
 from repro.telemetry import Telemetry
 from repro.telemetry.events import IterationEvent
@@ -115,17 +116,70 @@ class TestSteadyStateAllocations:
             f"steady-state iteration (budget {ALLOWED_PER_ITERATION})"
         )
 
-    def test_workspace_reuses_buffers_across_iterations(self):
+    @staticmethod
+    def _check_draws_once_per_solve(solver, **kwargs):
+        # Loop buffers are drawn from the arena once per solve (before
+        # the loop), not once per temporary per iteration; a second solve
+        # on the same arena reuses every slot and misses nothing.
         ws = Workspace()
         a = poisson2d(32)
         b = np.ones(a.nrows)
-        conjugate_gradient(a, b, workspace=ws)
-        stats = ws.stats()
-        assert stats["hits"] > stats["misses"]
-        # A second solve on the same workspace re-misses nothing.
+        result = solver(a, b, workspace=ws, **kwargs)
+        assert result.iterations > 10
+        draws = ws.hits + ws.misses
+        assert draws == len(ws.slots)
         misses_before = ws.misses
-        conjugate_gradient(a, b, workspace=ws)
+        solver(a, b, workspace=ws, **kwargs)
         assert ws.misses == misses_before
+        assert ws.hits + ws.misses == 2 * draws
+
+    def test_workspace_reuses_buffers_across_iterations(self):
+        self._check_draws_once_per_solve(conjugate_gradient)
+
+    def test_vr_workspace_draws_buffers_once_per_solve(self):
+        self._check_draws_once_per_solve(
+            vr_conjugate_gradient, k=2, replace_every=None, replace_drift_tol=None
+        )
+
+
+class TestSparseKernelAllocations:
+    """The compiled sparse products write into ``out=`` and allocate
+    nothing -- no ``work=`` scratch is needed."""
+
+    @pytest.mark.parametrize("fmt", ["csr", "ell"])
+    def test_matvec_with_out_allocates_nothing(self, fmt):
+        a = poisson2d(GRID)
+        op = csr_to_ell(a) if fmt == "ell" else a
+        x = np.ones(a.nrows)
+        out = np.empty(a.nrows)
+        op.matvec(x, out=out)  # warm up
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            floor, _ = tracemalloc.get_traced_memory()
+            got = op.matvec(x, out=out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got is out
+        assert peak - floor < ALLOWED_PER_ITERATION // 64, (
+            f"{fmt} matvec(x, out=) allocated {peak - floor} bytes"
+        )
+
+    def test_matmat_with_out_allocates_nothing(self):
+        a = poisson2d(GRID)
+        x = np.ones((a.nrows, 4))
+        out = np.empty((a.nrows, 4))
+        a.matmat(x, out=out)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            floor, _ = tracemalloc.get_traced_memory()
+            a.matmat(x, out=out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - floor < ALLOWED_PER_ITERATION // 64
 
 
 class TestKernelAliasing:

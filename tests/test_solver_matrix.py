@@ -25,6 +25,7 @@ from repro.precond import (
     vr_pcg,
 )
 from repro.sparse.csr import from_dense
+from repro.sparse.ell import csr_to_ell
 from repro.sparse.generators import anisotropic2d, banded_spd, poisson2d, poisson3d
 from repro.sparse.stats import estimate_extreme_eigenvalues
 from repro.util.rng import default_rng, spd_test_matrix
@@ -142,12 +143,13 @@ def test_registry_method_matches_direct_solve(method, problem_name):
 # ---------------------------------------------------------------------------
 # Operator-form differential matrix: every operator-capable method must
 # produce the SAME solve whether the system arrives as the assembled
-# CSRMatrix, as `as_operator(csr)` (front-door passthrough), as a wrapped
-# callable closing over the same matrix, or as a DenseOperator.  The first
-# three share bit-identical arithmetic (the wrapper adds dispatch, not
-# math) so their iterate histories and telemetry counters must be equal;
-# the dense form reorders the matvec arithmetic and is held to counter
-# parity plus a solution tolerance.
+# CSRMatrix, as `as_operator(csr)` (front-door passthrough), as a scipy
+# CSR matrix through `as_operator`, as a wrapped callable closing over
+# the same matrix, as its ELL twin, or as a callable over that ELL twin.
+# All of these reach the one compiled sparse kernel (scipy's `csr @ x`
+# runs the same C++ loop), so their iterate histories and telemetry
+# counters must be bit-identical.  The DenseOperator form reorders the
+# matvec arithmetic and is held to a solution tolerance.
 # ---------------------------------------------------------------------------
 
 from repro.registry import operator_methods  # noqa: E402
@@ -171,12 +173,19 @@ def test_operator_forms_match_assembled(method):
         base = solve(a, b, method=method, stop=stop)
     assert base.converged
 
-    # Front-door passthrough and a counted=False callable closing over
-    # the same matrix run the identical arithmetic: bit-for-bit iterates.
-    wrapped = CallableOperator(a.nrows, a.matvec, nnz=a.nnz, counted=False)
+    # Every sparse form runs the identical kernel: bit-for-bit iterates.
+    # The callables close over our own matrices, which book their own
+    # matvecs, so the wrappers must not count again (counted=False).
+    ell = csr_to_ell(a)
     for label, form in (
         ("as_operator(csr)", as_operator(a)),
-        ("CallableOperator", wrapped),
+        ("as_operator(scipy csr)", as_operator(a.to_scipy())),
+        ("CallableOperator", CallableOperator(a.nrows, a.matvec, nnz=a.nnz, counted=False)),
+        ("ELLMatrix", ell),
+        (
+            "CallableOperator(ell)",
+            CallableOperator(a.nrows, ell.matvec, nnz=a.nnz, counted=False),
+        ),
     ):
         with counting() as counts:
             result = solve(form, b, method=method, stop=stop)
